@@ -31,10 +31,11 @@ struct RingExploreConfig {
   double ring_metal_weight = 0.25;
   /// Weight of dummy balancing capacitance (fF -> cost units).
   double dummy_cap_weight = 0.05;
-  /// Evaluate candidates on std::thread workers (one flow run each).
-  /// Deterministic: the selection is identical to the serial path.
+  /// Evaluate candidates on the shared util::ThreadPool (one flow run
+  /// each). Deterministic: the selection is identical to the serial path.
   bool parallel = false;
-  /// Worker cap when parallel; 0 = hardware concurrency.
+  /// Cap on threads evaluating candidates concurrently when parallel;
+  /// 0 = no cap beyond the global pool size (ROTCLK_THREADS).
   int max_threads = 0;
   FlowConfig flow{};
 };

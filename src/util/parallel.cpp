@@ -79,16 +79,20 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::worker_main() {
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    Loop* claimable = nullptr;
+    // Claim in the same lock hold that found the loop: the claimed chunk
+    // keeps loop.pending > 0, so the owner cannot return (and destroy its
+    // stack Loop) until run_chunk has accounted for it.
+    Loop* claimed = nullptr;
+    std::size_t lo = 0, hi = 0;
     for (Loop* loop : loops_) {
-      if (!loop->ranges.empty() && loop->active < loop->max_claimants) {
-        claimable = loop;
+      if (claim_locked(*loop, lo, hi)) {
+        claimed = loop;
         break;
       }
     }
-    if (claimable != nullptr) {
+    if (claimed != nullptr) {
       lk.unlock();
-      help(*claimable);
+      run_chunk(*claimed, lo, hi);
       lk.lock();
       continue;
     }
@@ -97,27 +101,31 @@ void ThreadPool::worker_main() {
   }
 }
 
+bool ThreadPool::claim_locked(Loop& loop, std::size_t& lo, std::size_t& hi) {
+  if (loop.ranges.empty() || loop.active >= loop.max_claimants) return false;
+  // Steal from the largest remaining range.
+  std::size_t best = 0;
+  for (std::size_t r = 1; r < loop.ranges.size(); ++r)
+    if (loop.ranges[r].hi - loop.ranges[r].lo >
+        loop.ranges[best].hi - loop.ranges[best].lo)
+      best = r;
+  Loop::Range& range = loop.ranges[best];
+  lo = range.lo;
+  hi = std::min(range.lo + loop.grain, range.hi);
+  range.lo = hi;
+  if (range.lo == range.hi) {
+    range = loop.ranges.back();
+    loop.ranges.pop_back();
+  }
+  ++loop.active;
+  return true;
+}
+
 bool ThreadPool::help(Loop& loop) {
   std::size_t lo = 0, hi = 0;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (loop.ranges.empty() || loop.active >= loop.max_claimants)
-      return false;
-    // Steal from the largest remaining range.
-    std::size_t best = 0;
-    for (std::size_t r = 1; r < loop.ranges.size(); ++r)
-      if (loop.ranges[r].hi - loop.ranges[r].lo >
-          loop.ranges[best].hi - loop.ranges[best].lo)
-        best = r;
-    Loop::Range& range = loop.ranges[best];
-    lo = range.lo;
-    hi = std::min(range.lo + loop.grain, range.hi);
-    range.lo = hi;
-    if (range.lo == range.hi) {
-      range = loop.ranges.back();
-      loop.ranges.pop_back();
-    }
-    ++loop.active;
+    if (!claim_locked(loop, lo, hi)) return false;
   }
   run_chunk(loop, lo, hi);
   return true;

@@ -32,6 +32,14 @@
 // Nesting is safe: a body may call parallel_for again; the nested caller
 // drains its own loop (helped by any idle workers) and the wait-for graph
 // stays acyclic, so there is no deadlock at any pool size including 1.
+//
+// Lifetime invariant: each parallel_for keeps its Loop on the owner's
+// stack. A worker claims its chunk in the same mu_ hold that finds the
+// loop in loops_, and a claimed chunk keeps loop.pending > 0 until
+// run_chunk accounts for it, so the owner (which returns only once
+// pending == 0) cannot destroy the Loop while any participant still
+// touches it. Never find a loop under the lock and claim from it after
+// re-locking: in that window the owner may already have returned.
 
 #include <condition_variable>
 #include <cstddef>
@@ -96,7 +104,12 @@ class ThreadPool {
   struct Loop;
 
   void worker_main();
-  /// Claim one chunk of `loop` and run it. False when nothing claimable.
+  /// Claim the next chunk [lo, hi) of `loop`: marks the caller active and
+  /// leaves the chunk counted in loop.pending until run_chunk accounts
+  /// for it. Requires mu_ held. False when nothing is claimable.
+  bool claim_locked(Loop& loop, std::size_t& lo, std::size_t& hi);
+  /// The owner's path: claim one chunk of `loop` and run it. False when
+  /// nothing is claimable.
   bool help(Loop& loop);
   void run_chunk(Loop& loop, std::size_t lo, std::size_t hi);
 

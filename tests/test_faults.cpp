@@ -14,6 +14,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -353,8 +354,13 @@ struct CorruptingStage final : Stage {
 
 struct GuardCase {
   CorruptingStage::What what;
+  const char* name;
   const char* expect;
 };
+
+// CTest names each case after its printed parameter; the default byte dump
+// holds a string pointer and padding, so the names changed between builds.
+void PrintTo(const GuardCase& c, std::ostream* os) { *os << c.name; }
 
 class GuardTest : public ::testing::TestWithParam<GuardCase> {};
 
@@ -382,10 +388,14 @@ TEST_P(GuardTest, CorruptionIsCaughtAndNamesTheStage) {
 INSTANTIATE_TEST_SUITE_P(
     Corruptions, GuardTest,
     ::testing::Values(
-        GuardCase{CorruptingStage::kNanCell, "non-finite location"},
-        GuardCase{CorruptingStage::kEscapedCell, "outside the die"},
-        GuardCase{CorruptingStage::kNanTarget, "non-finite delay target"},
-        GuardCase{CorruptingStage::kBadAssignment, "out of range"}));
+        GuardCase{CorruptingStage::kNanCell, "nan_cell",
+                  "non-finite location"},
+        GuardCase{CorruptingStage::kEscapedCell, "escaped_cell",
+                  "outside the die"},
+        GuardCase{CorruptingStage::kNanTarget, "nan_target",
+                  "non-finite delay target"},
+        GuardCase{CorruptingStage::kBadAssignment, "bad_assignment",
+                  "out of range"}));
 
 TEST_F(FaultTest, GuardsCanBeDisabled) {
   const netlist::Design d = small_circuit();

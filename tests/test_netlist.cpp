@@ -235,6 +235,16 @@ TEST(Generator, ZeroFlipFlopsAllowed) {
   EXPECT_EQ(d.num_cells(), 60);
 }
 
+}  // namespace
+
+// CTest names each case after its printed parameter. The default printer
+// dumps the spec's raw bytes, which start with the name string's heap
+// pointer, so the discovered test names changed from one build to the
+// next. ADL finds this overload only in BenchmarkSpec's own namespace.
+void PrintTo(const BenchmarkSpec& spec, std::ostream* os) { *os << spec.name; }
+
+namespace {
+
 // --- Table II suite: parameterized over all five circuits -----------------
 
 class BenchmarkSuiteTest : public ::testing::TestWithParam<BenchmarkSpec> {};
@@ -249,12 +259,8 @@ TEST_P(BenchmarkSuiteTest, MatchesTableII) {
   EXPECT_NO_THROW(d.validate());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllCircuits, BenchmarkSuiteTest,
-    ::testing::ValuesIn(benchmark_suite()),
-    [](const ::testing::TestParamInfo<BenchmarkSpec>& info) {
-      return info.param.name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllCircuits, BenchmarkSuiteTest,
+                         ::testing::ValuesIn(benchmark_suite()));
 
 TEST(Benchmarks, SuiteHasFiveCircuitsInPaperOrder) {
   const auto& suite = benchmark_suite();
